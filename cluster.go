@@ -705,7 +705,6 @@ func (c *Cluster) openSession(algorithm string, cfg config) (*ClusterSession, er
 		driftPQoS:   cfg.drift,
 		driftSpread: cfg.spread,
 		tracer:      telemetry.NewTracer(cfg.traceW),
-		tele:        cfg.tele,
 	}, nil
 }
 

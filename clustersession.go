@@ -37,20 +37,18 @@ type ClusterSession struct {
 	rowBuf     []float64
 
 	// overflow, driftPQoS and driftSpread record the trajectory-shaping
-	// config so durable snapshots can restore it; dur is non-nil on
+	// config so durable snapshots can restore it; journal is non-nil on
 	// sessions opened WithDurability (DESIGN.md §11).
 	overflow    OverflowPolicy
 	driftPQoS   float64
 	driftSpread float64
-	dur         *durable
+	journal     *repair.Journal
 
 	// tracer streams one JSON line per mutation when the session was opened
 	// WithTraceLog; nil otherwise. On recovered sessions it attaches only
 	// AFTER the log tail has replayed, so a restart does not re-trace
-	// pre-crash events; tele is the WithTelemetry registry, kept for the
-	// durability layer's checkpoint/recovery series.
+	// pre-crash events.
 	tracer *telemetry.Tracer
-	tele   *telemetry.Registry
 }
 
 // span opens a trace span around one session mutation. Defer the returned
@@ -178,14 +176,11 @@ func (s *ClusterSession) Join(id string, spec ClientSpec) (err error) {
 	}
 	// The journal records the RESOLVED dense row (not the spec's map form):
 	// replay must see identical inputs regardless of which form the caller
-	// used. journal encodes immediately, so row aliasing rowBuf is fine.
-	if err := s.journal(&repair.Event{Op: repair.OpJoin, ID: id, Zone: spec.Zone, RT: rt, Row: row}); err != nil {
-		return err
-	}
-	if err := s.binding.Join(id, z, rt, row); err != nil {
-		return err
-	}
-	return s.afterApply()
+	// used. Apply encodes the event before the apply runs, so row aliasing
+	// rowBuf is fine.
+	return s.journal.Apply(&repair.Event{Op: repair.OpJoin, ID: id, Zone: spec.Zone, RT: rt, Row: row}, func() error {
+		return s.binding.Join(id, z, rt, row)
+	})
 }
 
 // resolveJoin validates one client admission against the current topology
@@ -237,26 +232,18 @@ func (s *ClusterSession) JoinBatch(joins []ClientJoin) (err error) {
 	for x, cj := range joins {
 		zoneIDs[x] = cj.Spec.Zone
 	}
-	if err := s.journal(&repair.Event{Op: repair.OpJoinBatch, IDs: ids, Zones: zoneIDs, RTs: rts, Rows: css}); err != nil {
-		return err
-	}
-	if err := s.binding.JoinBatch(ids, zones, rts, css); err != nil {
-		return err
-	}
-	return s.afterApply()
+	return s.journal.Apply(&repair.Event{Op: repair.OpJoinBatch, IDs: ids, Zones: zoneIDs, RTs: rts, Rows: css}, func() error {
+		return s.binding.JoinBatch(ids, zones, rts, css)
+	})
 }
 
 // Leave removes the client, repairing around the zone it vacated. The ID
 // becomes available for reuse.
 func (s *ClusterSession) Leave(id string) (err error) {
 	defer s.span("leave", "id", id)(&err)
-	if err := s.journal(&repair.Event{Op: repair.OpLeave, ID: id}); err != nil {
-		return err
-	}
-	if err := s.binding.Leave(id); err != nil {
-		return err
-	}
-	return s.afterApply()
+	return s.journal.Apply(&repair.Event{Op: repair.OpLeave, ID: id}, func() error {
+		return s.binding.Leave(id)
+	})
 }
 
 // Move migrates the client's avatar to another zone, re-attaches it, and
@@ -267,13 +254,9 @@ func (s *ClusterSession) Move(id, zone string) (err error) {
 	if err != nil {
 		return err
 	}
-	if err := s.journal(&repair.Event{Op: repair.OpMove, ID: id, Zone: zone}); err != nil {
-		return err
-	}
-	if err := s.binding.Move(id, z); err != nil {
-		return err
-	}
-	return s.afterApply()
+	return s.journal.Apply(&repair.Event{Op: repair.OpMove, ID: id, Zone: zone}, func() error {
+		return s.binding.Move(id, z)
+	})
 }
 
 // LeaveBatch removes many clients in ONE repair event — the mass-exodus
@@ -283,13 +266,9 @@ func (s *ClusterSession) Move(id, zone string) (err error) {
 // ID) means no client left.
 func (s *ClusterSession) LeaveBatch(ids []string) (err error) {
 	defer s.span("leave_batch", "n", len(ids))(&err)
-	if err := s.journal(&repair.Event{Op: repair.OpLeaveBatch, IDs: ids}); err != nil {
-		return err
-	}
-	if err := s.binding.LeaveBatch(ids); err != nil {
-		return err
-	}
-	return s.afterApply()
+	return s.journal.Apply(&repair.Event{Op: repair.OpLeaveBatch, IDs: ids}, func() error {
+		return s.binding.LeaveBatch(ids)
+	})
 }
 
 // MoveBatch migrates many clients in ONE repair event: ids[x] moves to
@@ -310,13 +289,9 @@ func (s *ClusterSession) MoveBatch(ids []string, zones []string) (err error) {
 		}
 		zs[x] = z
 	}
-	if err := s.journal(&repair.Event{Op: repair.OpMoveBatch, IDs: ids, Zones: zones}); err != nil {
-		return err
-	}
-	if err := s.binding.MoveBatch(ids, zs); err != nil {
-		return err
-	}
-	return s.afterApply()
+	return s.journal.Apply(&repair.Event{Op: repair.OpMoveBatch, IDs: ids, Zones: zones}, func() error {
+		return s.binding.MoveBatch(ids, zs)
+	})
 }
 
 // AddServer grows the live topology by one server. spec.RTTs must cover
@@ -375,7 +350,7 @@ func (s *ClusterSession) addServer(id string, spec ServerSpec, spare bool) error
 	}
 	// Journaled form: the resolved dense inter-server row (current server
 	// order) — replay rebuilds the map against the same order.
-	if err := s.journal(&repair.Event{Op: repair.OpAddServer, Server: id, Capacity: spec.CapacityMbps, Row: ss, ClientRTTs: spec.ClientRTTs, Spare: spare}); err != nil {
+	if err := s.journal.Record(&repair.Event{Op: repair.OpAddServer, Server: id, Capacity: spec.CapacityMbps, Row: ss, ClientRTTs: spec.ClientRTTs, Spare: spare}); err != nil {
 		return err
 	}
 	// Clients absent from ClientRTTs: dense sessions pin the unmeasured
@@ -393,7 +368,7 @@ func (s *ClusterSession) addServer(id string, spec ServerSpec, spare bool) error
 		return err
 	}
 	s.rowBuf = append(s.rowBuf, 0)
-	return s.afterApply()
+	return s.journal.Applied()
 }
 
 // RemoveServer retires the server from the topology. The server must be
@@ -403,14 +378,14 @@ func (s *ClusterSession) addServer(id string, spec ServerSpec, spare bool) error
 // stable.
 func (s *ClusterSession) RemoveServer(id string) (err error) {
 	defer s.span("server_remove", "server", id)(&err)
-	if err := s.journal(&repair.Event{Op: repair.OpRemoveServer, Server: id}); err != nil {
+	if err := s.journal.Record(&repair.Event{Op: repair.OpRemoveServer, Server: id}); err != nil {
 		return err
 	}
 	if err := s.binding.RemoveServer(id); err != nil {
 		return err
 	}
 	s.rowBuf = s.rowBuf[:len(s.rowBuf)-1]
-	return s.afterApply()
+	return s.journal.Applied()
 }
 
 // DrainServer evacuates the server for a rolling deploy: its capacity
@@ -422,13 +397,9 @@ func (s *ClusterSession) RemoveServer(id string) (err error) {
 // RemoveServer retires it, or UncordonServer returns it to service.
 func (s *ClusterSession) DrainServer(id string) (err error) {
 	defer s.span("server_drain", "server", id)(&err)
-	if err := s.journal(&repair.Event{Op: repair.OpDrainServer, Server: id}); err != nil {
-		return err
-	}
-	if err := s.binding.DrainServer(id); err != nil {
-		return err
-	}
-	return s.afterApply()
+	return s.journal.Apply(&repair.Event{Op: repair.OpDrainServer, Server: id}, func() error {
+		return s.binding.DrainServer(id)
+	})
 }
 
 // UncordonServer returns a drained server to service with its nominal
@@ -436,13 +407,9 @@ func (s *ClusterSession) DrainServer(id string) (err error) {
 // server is not draining.
 func (s *ClusterSession) UncordonServer(id string) (err error) {
 	defer s.span("server_uncordon", "server", id)(&err)
-	if err := s.journal(&repair.Event{Op: repair.OpUncordon, Server: id}); err != nil {
-		return err
-	}
-	if err := s.binding.UncordonServer(id); err != nil {
-		return err
-	}
-	return s.afterApply()
+	return s.journal.Apply(&repair.Event{Op: repair.OpUncordon, Server: id}, func() error {
+		return s.binding.UncordonServer(id)
+	})
 }
 
 // AddZone grows the virtual world by one (empty) zone, hosted per spec.
@@ -465,13 +432,13 @@ func (s *ClusterSession) AddZone(id string, spec ZoneSpec) (err error) {
 		neighbors = append(neighbors, zid)
 	}
 	sort.Strings(neighbors)
-	if err := s.journal(&repair.Event{Op: repair.OpAddZone, Zone: id, Host: spec.Host}); err != nil {
+	if err := s.journal.Record(&repair.Event{Op: repair.OpAddZone, Zone: id, Host: spec.Host}); err != nil {
 		return err
 	}
 	if err := s.binding.AddZone(id, spec.Host); err != nil {
 		return err
 	}
-	if err := s.afterApply(); err != nil {
+	if err := s.journal.Applied(); err != nil {
 		return err
 	}
 	// Each seed edge journals and applies as its own SetZoneAdjacency, in
@@ -496,13 +463,9 @@ func (s *ClusterSession) SetZoneAdjacency(zone1, zone2 string, weightMbps float6
 	if err != nil {
 		return err
 	}
-	if err := s.journal(&repair.Event{Op: repair.OpSetAdjacency, Zone: zone1, Zone2: zone2, Weight: weightMbps}); err != nil {
-		return err
-	}
-	if err := s.planner().SetAdjacency(z1, z2, weightMbps); err != nil {
-		return err
-	}
-	return s.afterApply()
+	return s.journal.Apply(&repair.Event{Op: repair.OpSetAdjacency, Zone: zone1, Zone2: zone2, Weight: weightMbps}, func() error {
+		return s.planner().SetAdjacency(z1, z2, weightMbps)
+	})
 }
 
 // AddAdjacencyWeight accumulates deltaMbps > 0 onto the interaction edge
@@ -515,13 +478,9 @@ func (s *ClusterSession) AddAdjacencyWeight(zone1, zone2 string, deltaMbps float
 	if err != nil {
 		return err
 	}
-	if err := s.journal(&repair.Event{Op: repair.OpAddAdjacency, Zone: zone1, Zone2: zone2, Weight: deltaMbps}); err != nil {
-		return err
-	}
-	if err := s.planner().AddAdjacency(z1, z2, deltaMbps); err != nil {
-		return err
-	}
-	return s.afterApply()
+	return s.journal.Apply(&repair.Event{Op: repair.OpAddAdjacency, Zone: zone1, Zone2: zone2, Weight: deltaMbps}, func() error {
+		return s.planner().AddAdjacency(z1, z2, deltaMbps)
+	})
 }
 
 // adjacencyPair resolves and validates one adjacency edge's endpoints and
@@ -561,13 +520,9 @@ func (s *ClusterSession) TrafficCost() float64 { return s.planner().TrafficCost(
 // stable.
 func (s *ClusterSession) RetireZone(id string) (err error) {
 	defer s.span("zone_retire", "zone", id)(&err)
-	if err := s.journal(&repair.Event{Op: repair.OpRetireZone, Zone: id}); err != nil {
-		return err
-	}
-	if err := s.binding.RetireZone(id); err != nil {
-		return err
-	}
-	return s.afterApply()
+	return s.journal.Apply(&repair.Event{Op: repair.OpRetireZone, Zone: id}, func() error {
+		return s.binding.RetireZone(id)
+	})
 }
 
 // Servers returns the live server inventory in dense index order: nominal
@@ -615,13 +570,9 @@ func (s *ClusterSession) UpdateDelays(id string, rtts map[string]float64) (err e
 	}
 	// Journaled as the MERGED dense row: replay must not depend on what the
 	// row held before the crash-era partial refresh.
-	if err := s.journal(&repair.Event{Op: repair.OpDelayRow, ID: id, Row: s.rowBuf}); err != nil {
-		return err
-	}
-	if err := s.binding.UpdateDelays(id, s.rowBuf); err != nil {
-		return err
-	}
-	return s.afterApply()
+	return s.journal.Apply(&repair.Event{Op: repair.OpDelayRow, ID: id, Row: s.rowBuf}, func() error {
+		return s.binding.UpdateDelays(id, s.rowBuf)
+	})
 }
 
 // UpdateDelayRow is UpdateDelays with a full dense row in ServerIDs order
@@ -633,13 +584,9 @@ func (s *ClusterSession) UpdateDelayRow(id string, rtts []float64) (err error) {
 			return err
 		}
 	}
-	if err := s.journal(&repair.Event{Op: repair.OpDelayRow, ID: id, Row: rtts}); err != nil {
-		return err
-	}
-	if err := s.binding.UpdateDelays(id, rtts); err != nil {
-		return err
-	}
-	return s.afterApply()
+	return s.journal.Apply(&repair.Event{Op: repair.OpDelayRow, ID: id, Row: rtts}, func() error {
+		return s.binding.UpdateDelays(id, rtts)
+	})
 }
 
 // UpdateServerDelays is the server-column form of UpdateDelays: freshly
@@ -659,13 +606,9 @@ func (s *ClusterSession) UpdateServerDelays(server string, rtts map[string]float
 		// Validates the server ID, applies nothing — not a journaled event.
 		return s.binding.UpdateServerDelays(server, rtts)
 	}
-	if err := s.journal(&repair.Event{Op: repair.OpServerDelays, Server: server, RTTs: rtts}); err != nil {
-		return err
-	}
-	if err := s.binding.UpdateServerDelays(server, rtts); err != nil {
-		return err
-	}
-	return s.afterApply()
+	return s.journal.Apply(&repair.Event{Op: repair.OpServerDelays, Server: server, RTTs: rtts}, func() error {
+		return s.binding.UpdateServerDelays(server, rtts)
+	})
 }
 
 // SetBandwidth updates the client's bandwidth requirement (Mbps) —
@@ -676,13 +619,9 @@ func (s *ClusterSession) SetBandwidth(id string, mbps float64) (err error) {
 	if !(mbps > 0) { // rejects NaN too
 		return fmt.Errorf("dvecap: client %q bandwidth %v Mbps, want > 0", id, mbps)
 	}
-	if err := s.journal(&repair.Event{Op: repair.OpSetBandwidth, ID: id, RT: mbps}); err != nil {
-		return err
-	}
-	if err := s.binding.SetRT(id, mbps); err != nil {
-		return err
-	}
-	return s.afterApply()
+	return s.journal.Apply(&repair.Event{Op: repair.OpSetBandwidth, ID: id, RT: mbps}, func() error {
+		return s.binding.SetRT(id, mbps)
+	})
 }
 
 // SetZoneBandwidth sets the bandwidth requirement of every client
@@ -695,26 +634,18 @@ func (s *ClusterSession) SetZoneBandwidth(zone string, perClientMbps float64) (e
 	if err != nil {
 		return err
 	}
-	if err := s.journal(&repair.Event{Op: repair.OpSetZoneBW, Zone: zone, RT: perClientMbps}); err != nil {
-		return err
-	}
-	if err := s.binding.Planner().RefreshZoneRT(z, perClientMbps); err != nil {
-		return err
-	}
-	return s.afterApply()
+	return s.journal.Apply(&repair.Event{Op: repair.OpSetZoneBW, Zone: zone, RT: perClientMbps}, func() error {
+		return s.binding.Planner().RefreshZoneRT(z, perClientMbps)
+	})
 }
 
 // Resolve forces one full two-phase re-solve, re-anchoring the drift
 // baseline.
 func (s *ClusterSession) Resolve() (err error) {
 	defer s.span("resolve")(&err)
-	if err := s.journal(&repair.Event{Op: repair.OpResolve}); err != nil {
-		return err
-	}
-	if err := s.binding.Planner().FullSolve(); err != nil {
-		return err
-	}
-	return s.afterApply()
+	return s.journal.Apply(&repair.Event{Op: repair.OpResolve}, func() error {
+		return s.binding.Planner().FullSolve()
+	})
 }
 
 // ZoneHost returns the ID of the server currently hosting the zone.

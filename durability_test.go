@@ -436,12 +436,12 @@ func TestDurableTornTailRecovery(t *testing.T) {
 	dd.run(t, durable, killAt)
 
 	boom := errors.New("power cut")
-	durable.dur.hook = func(point string) error {
+	durable.journal.SetCrashHook(func(point string) error {
 		if point == "append:torn" {
 			return boom
 		}
 		return nil
-	}
+	})
 	if err := durable.Join("victim", ClientSpec{
 		Zone: "z0", BandwidthMbps: 0.3, RTTRow: durRow(xrand.New(1), durable.NumServers()),
 	}); !errors.Is(err, boom) {
@@ -452,6 +452,94 @@ func TestDurableTornTailRecovery(t *testing.T) {
 	requireSameSession(t, control, recovered)
 
 	// The recovered session keeps tracking the control under fresh churn.
+	contSeed := xrand.New(churnSeed + 1).Seed()
+	d1 := dc.clone(xrand.New(contSeed))
+	d2 := dc.clone(xrand.New(contSeed))
+	d1.run(t, control, 25)
+	d2.run(t, recovered, 25)
+	requireSameSession(t, control, recovered)
+}
+
+// TestDurableFailContinueCrashRecover: a journal append fails half-way
+// (a torn frame stays on disk) and the caller survives and carries on.
+// The journal is fail-stop: that event and every later one is refused
+// with ErrJournalFailed, so the session stays exactly at the acknowledged
+// prefix, Close writes no snapshot over the failure, and the
+// dvecap_wal_failed gauge reads 1. A crash then recovers exactly that
+// prefix, and the recovered session tracks an uninterrupted control.
+func TestDurableFailContinueCrashRecover(t *testing.T) {
+	opts := []Option{WithSeed(3), WithDriftGuard(0.03)}
+	control, err := durTestCluster(t, 19).Open("GreZ-GreC", opts...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	reg := telemetry.NewRegistry()
+	durable, err := durTestCluster(t, 19).Open("GreZ-GreC",
+		append([]Option{WithDurability(dir), WithSnapshotEvery(11), WithTelemetry(reg)}, opts...)...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const churnSeed, failAt = 733, 40
+	dc := newSessChurn(xrand.New(churnSeed))
+	dd := newSessChurn(xrand.New(churnSeed))
+	dc.run(t, control, failAt)
+	dd.run(t, durable, failAt)
+	failed := reg.Gauge("dvecap_wal_failed", "")
+	if failed.Value() != 0 {
+		t.Fatalf("dvecap_wal_failed = %v before any failure", failed.Value())
+	}
+
+	boom := errors.New("disk gone")
+	armed := true
+	durable.journal.SetCrashHook(func(point string) error {
+		if armed && point == "append:torn" {
+			armed = false
+			return boom
+		}
+		return nil
+	})
+	row := durRow(xrand.New(1), durable.NumServers())
+	if err := durable.Join("victim", ClientSpec{Zone: "z0", BandwidthMbps: 0.3, RTTRow: row}); !errors.Is(err, boom) || !errors.Is(err, ErrJournalFailed) {
+		t.Fatalf("failed append returned %v, want the fault wrapped in ErrJournalFailed", err)
+	}
+	// Continue: the hook no longer fires, yet every mutator is refused.
+	live := dd.live[0]
+	for name, op := range map[string]func() error{
+		"join":     func() error { return durable.Join("late", ClientSpec{Zone: "z1", BandwidthMbps: 0.2, RTTRow: row}) },
+		"leave":    func() error { return durable.Leave(live) },
+		"move":     func() error { return durable.Move(live, "z2") },
+		"resolve":  durable.Resolve,
+		"add zone": func() error { return durable.AddZone("zlate", ZoneSpec{}) },
+		"drain":    func() error { return durable.DrainServer("s0") },
+	} {
+		if err := op(); !errors.Is(err, ErrJournalFailed) {
+			t.Fatalf("%s after the failure returned %v, want ErrJournalFailed", name, err)
+		}
+	}
+	if err := durable.Checkpoint(); !errors.Is(err, ErrJournalFailed) {
+		t.Fatalf("checkpoint after the failure returned %v, want ErrJournalFailed", err)
+	}
+	if got, want := sessionStateJSON(t, durable), sessionStateJSON(t, control); got != want {
+		t.Fatal("refused events changed the failed session's state")
+	}
+	if failed.Value() != 1 {
+		t.Fatalf("dvecap_wal_failed = %v after the failure, want 1", failed.Value())
+	}
+	snaps, err := wal.SnapshotLSNs(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := durable.Close(); !errors.Is(err, ErrJournalFailed) {
+		t.Fatalf("Close of a failed session returned %v, want ErrJournalFailed", err)
+	}
+	if after, err := wal.SnapshotLSNs(dir); err != nil || fmt.Sprint(after) != fmt.Sprint(snaps) {
+		t.Fatalf("Close of a failed session changed the snapshots: %v → %v (%v)", snaps, after, err)
+	}
+
+	// Crash and recover: exactly the acknowledged prefix.
+	recovered := reopenDurable(t, dir, "GreZ-GreC", 0)
+	requireSameSession(t, control, recovered)
 	contSeed := xrand.New(churnSeed + 1).Seed()
 	d1 := dc.clone(xrand.New(contSeed))
 	d2 := dc.clone(xrand.New(contSeed))
@@ -489,12 +577,12 @@ func TestDurableCrashPointMatrix(t *testing.T) {
 			dd.run(t, durable, crashAt)
 
 			boom := fmt.Errorf("crash at %s", point)
-			durable.dur.hook = func(p string) error {
+			durable.journal.SetCrashHook(func(p string) error {
 				if p == point {
 					return boom
 				}
 				return nil
-			}
+			})
 			var candidates []string
 			switch {
 			case strings.HasPrefix(point, "append:"):
@@ -549,14 +637,14 @@ func TestDurableCheckpointCloseReopen(t *testing.T) {
 	d.run(t, s, 30)
 
 	// No-op refreshes must not journal: the log head stays put.
-	head := s.dur.w.NextLSN()
+	head := s.journal.NextLSN()
 	if err := s.UpdateDelays(d.live[0], nil); err != nil {
 		t.Fatal(err)
 	}
 	if err := s.UpdateServerDelays("s0", nil); err != nil {
 		t.Fatal(err)
 	}
-	if got := s.dur.w.NextLSN(); got != head {
+	if got := s.journal.NextLSN(); got != head {
 		t.Fatalf("empty refreshes advanced the log: %d → %d", head, got)
 	}
 

@@ -50,13 +50,9 @@ func (d *Director) SetAdjacency(zone1, zone2 int, weightMbps float64) (Adjacency
 	if err := d.adjacencyArgsLocked(zone1, zone2, weightMbps, true); err != nil {
 		return AdjacencyInfo{}, err
 	}
-	if err := d.journalLocked(&repair.Event{Op: repair.OpDSetAdjacency, ZoneIdx: zone1, ZoneIdx2: zone2, Weight: weightMbps}); err != nil {
-		return AdjacencyInfo{}, err
-	}
-	if err := d.planner().SetAdjacency(zone1, zone2, weightMbps); err != nil {
-		return AdjacencyInfo{}, err
-	}
-	if err := d.afterApplyLocked(); err != nil {
+	if err := d.journal.Apply(&repair.Event{Op: repair.OpDSetAdjacency, ZoneIdx: zone1, ZoneIdx2: zone2, Weight: weightMbps}, func() error {
+		return d.planner().SetAdjacency(zone1, zone2, weightMbps)
+	}); err != nil {
 		return AdjacencyInfo{}, err
 	}
 	return d.edgeInfoLocked(zone1, zone2), nil
@@ -72,13 +68,9 @@ func (d *Director) AddAdjacencyWeight(zone1, zone2 int, deltaMbps float64) (Adja
 	if err := d.adjacencyArgsLocked(zone1, zone2, deltaMbps, false); err != nil {
 		return AdjacencyInfo{}, err
 	}
-	if err := d.journalLocked(&repair.Event{Op: repair.OpDAddAdjacency, ZoneIdx: zone1, ZoneIdx2: zone2, Weight: deltaMbps}); err != nil {
-		return AdjacencyInfo{}, err
-	}
-	if err := d.planner().AddAdjacency(zone1, zone2, deltaMbps); err != nil {
-		return AdjacencyInfo{}, err
-	}
-	if err := d.afterApplyLocked(); err != nil {
+	if err := d.journal.Apply(&repair.Event{Op: repair.OpDAddAdjacency, ZoneIdx: zone1, ZoneIdx2: zone2, Weight: deltaMbps}, func() error {
+		return d.planner().AddAdjacency(zone1, zone2, deltaMbps)
+	}); err != nil {
 		return AdjacencyInfo{}, err
 	}
 	return d.edgeInfoLocked(zone1, zone2), nil

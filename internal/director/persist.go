@@ -1,11 +1,12 @@
 package director
 
-// Durable directors: the write-ahead event log, snapshots and recovery
-// for the online service (DESIGN.md §11). The discipline mirrors the
-// public ClusterSession's: every mutation is journaled (synced) BEFORE it
-// is applied, snapshots bound replay, and recovery re-applies the log
-// tail through the SAME mutators live traffic uses, so a director killed
-// mid-churn resumes bit-identical to one that was never interrupted.
+// Durable directors: the snapshot payload, recovery restore and event
+// replay of the online service (DESIGN.md §11). The write-ahead discipline
+// itself is repair.Journal, the same engine the public ClusterSession
+// runs on: every mutation is journaled (synced) BEFORE it is applied,
+// snapshots bound replay, and recovery re-applies the log tail through
+// the SAME mutators live traffic uses, so a director killed mid-churn
+// resumes bit-identical to one that was never interrupted.
 //
 // The director journals its OWN event vocabulary (the OpD* ops in
 // internal/repair/event.go): joins carry the serving node and the
@@ -18,30 +19,28 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"time"
 
 	"dvecap/internal/core"
 	"dvecap/internal/interact"
 	"dvecap/internal/repair"
-	"dvecap/internal/wal"
 	"dvecap/internal/xrand"
-	"dvecap/telemetry"
 )
 
 // ErrDirectorClosed reports a mutation on a durable director after Close.
 var ErrDirectorClosed = errors.New("director: closed")
 
-const (
-	// dirSnapshotVersion tags the directorSnapshot schema; recovery reads
-	// versions 1..dirSnapshotVersion and rejects snapshots from a future
-	// schema rather than misreading them. v2 added the provider field
-	// (delay-model snapshots, DESIGN.md §13); v1 snapshots are dense and
-	// load unchanged.
-	dirSnapshotVersion = 2
-	// dirKeepSnapshots is how many snapshot generations Checkpoint retains
-	// (the fresh one plus one fallback with its log tail intact).
-	dirKeepSnapshots = 2
-)
+// ErrJournalFailed reports a mutation on a durable director whose
+// write-ahead log has failed; every later mutation gets it too (fail-stop)
+// and the HTTP API answers 503. Restarting recovers the acknowledged
+// prefix.
+var ErrJournalFailed = repair.ErrJournalFailed
+
+// dirSnapshotVersion tags the directorSnapshot schema; recovery reads
+// versions 1..dirSnapshotVersion and rejects snapshots from a future
+// schema rather than misreading them. v2 added the provider field
+// (delay-model snapshots, DESIGN.md §13); v1 snapshots are dense and load
+// unchanged.
+const dirSnapshotVersion = 2
 
 // dirClientJSON is one registered client in a snapshot, in the planner's
 // dense order — recovery renumbers handles 0..k-1 in that order, so the
@@ -85,42 +84,8 @@ type directorSnapshot struct {
 	Planner   *repair.State   `json:"planner"`
 }
 
-// dirDurable is a director's write-ahead journal state; all fields are
-// guarded by the director's mutex.
-type dirDurable struct {
-	dir string
-	w   *wal.Writer
-	// snapEvery / sinceSnap drive auto-checkpointing; lastFullSolves
-	// detects planner epochs so they get advisory markers.
-	snapEvery      int
-	sinceSnap      int
-	lastFullSolves int
-	// replaying suspends journaling while recovery re-applies the log
-	// through the live mutators.
-	replaying bool
-	closed    bool
-	// hook is the crash-injection point for the fault tests.
-	hook func(point string) error
-	// snapDur/snapBytes/snaps are the checkpoint series; nil (disabled)
-	// without Config.Telemetry.
-	snapDur   *telemetry.Histogram
-	snapBytes *telemetry.Counter
-	snaps     *telemetry.Counter
-}
-
-// attachTelemetry registers the checkpoint series; a nil registry leaves
-// the handles nil, which every record site checks.
-func (dd *dirDurable) attachTelemetry(reg *telemetry.Registry) {
-	dd.snapDur = reg.Histogram("dvecap_snapshot_write_duration_seconds",
-		"Wall time to render and durably write one session snapshot.", nil)
-	dd.snapBytes = reg.Counter("dvecap_snapshot_bytes_total",
-		"Snapshot payload bytes written by checkpoints.")
-	dd.snaps = reg.Counter("dvecap_snapshots_total",
-		"Session snapshots written (explicit and auto checkpoints).")
-}
-
 // Durable reports whether the director journals to a data directory.
-func (d *Director) Durable() bool { return d.dur != nil }
+func (d *Director) Durable() bool { return d.journal != nil }
 
 // Recovering reports whether the director is still replaying its journal.
 // The HTTP handler answers 503 with Retry-After while this is true, so a
@@ -128,66 +93,22 @@ func (d *Director) Durable() bool { return d.dur != nil }
 // instead of serving half-replayed state.
 func (d *Director) Recovering() bool { return d.recovering.Load() }
 
-// dirHook adapts the crash-injection hook to the WAL layer; the
-// indirection lets tests install d.dur.hook after New returns.
-func (d *Director) dirHook() func(string) error {
-	return func(point string) error {
-		if d.dur != nil && d.dur.hook != nil {
-			return d.dur.hook(point)
-		}
-		return nil
+// journalConfig describes the director to its write-ahead journal
+// (DESIGN.md §11): the director supplies its snapshot payload and planner
+// epoch count; the journal owns the log, the snapshots and every rule for
+// getting them onto disk and back. The callbacks run under d.mu.
+func (d *Director) journalConfig() repair.JournalConfig {
+	return repair.JournalConfig{
+		Dir:           d.cfg.DataDir,
+		SnapshotEvery: d.cfg.SnapshotEvery,
+		Version:       dirSnapshotVersion,
+		Prefix:        "director",
+		Closed:        ErrDirectorClosed,
+		Snapshot:      d.snapshotPayloadLocked,
+		FullSolves:    func() int { return d.planner().Stats().FullSolves },
+		Telemetry:     d.cfg.Telemetry,
+		Logger:        d.log,
 	}
-}
-
-// journalLocked appends the event's canonical encoding to the WAL and
-// syncs it. Nil when the director is not durable or is replaying its own
-// log. Called BEFORE the event is applied; an event the apply then
-// rejects replays as rejected too (same inputs, same validation).
-func (d *Director) journalLocked(e *repair.Event) error {
-	if d.dur == nil || d.dur.replaying {
-		return nil
-	}
-	if d.dur.closed {
-		return ErrDirectorClosed
-	}
-	payload, err := e.Encode()
-	if err != nil {
-		return err
-	}
-	if _, err := d.dur.w.Append(payload); err != nil {
-		return fmt.Errorf("director: journal %s: %w", e.Op, err)
-	}
-	return nil
-}
-
-// afterApplyLocked runs the durable bookkeeping once an event has been
-// applied: an advisory epoch marker when the planner ran a full re-solve,
-// and the auto-checkpoint cadence.
-func (d *Director) afterApplyLocked() error {
-	if d.dur == nil {
-		return nil
-	}
-	if fs := d.planner().Stats().FullSolves; fs != d.dur.lastFullSolves {
-		d.dur.lastFullSolves = fs
-		if !d.dur.replaying {
-			payload, err := (&repair.Event{Op: repair.OpEpoch, FullSolves: fs}).Encode()
-			if err != nil {
-				return err
-			}
-			if _, err := d.dur.w.Append(payload); err != nil {
-				return fmt.Errorf("director: journal epoch: %w", err)
-			}
-		}
-	}
-	if d.dur.replaying {
-		return nil
-	}
-	d.dur.sinceSnap++
-	if d.dur.snapEvery > 0 && d.dur.sinceSnap >= d.dur.snapEvery {
-		_, err := d.checkpointLocked()
-		return err
-	}
-	return nil
 }
 
 // snapshotPayloadLocked renders the director's full durable state as of lsn.
@@ -234,35 +155,6 @@ func (d *Director) snapshotPayloadLocked(lsn uint64) ([]byte, error) {
 	})
 }
 
-func (d *Director) checkpointLocked() (uint64, error) {
-	var start time.Time
-	if d.dur.snapDur != nil {
-		start = time.Now()
-	}
-	lsn := d.dur.w.NextLSN() - 1
-	payload, err := d.snapshotPayloadLocked(lsn)
-	if err != nil {
-		return 0, err
-	}
-	if err := wal.WriteSnapshot(d.dur.dir, lsn, payload, d.dirHook()); err != nil {
-		return 0, err
-	}
-	if d.dur.snapDur != nil {
-		d.dur.snapDur.Observe(time.Since(start).Seconds())
-		d.dur.snapBytes.Add(uint64(len(payload)))
-		d.dur.snaps.Inc()
-	}
-	if err := d.dur.w.TruncateThrough(lsn); err != nil {
-		return 0, err
-	}
-	if err := wal.PruneSnapshots(d.dur.dir, dirKeepSnapshots); err != nil {
-		return 0, err
-	}
-	d.dur.sinceSnap = 0
-	d.log.Debug("checkpoint written", "lsn", lsn, "bytes", len(payload))
-	return lsn, nil
-}
-
 // Checkpoint writes a snapshot of the director's current state, truncates
 // the log segments it supersedes, and returns the snapshot's LSN —
 // bounding the next recovery's replay to events journaled after this
@@ -273,13 +165,7 @@ func (d *Director) checkpointLocked() (uint64, error) {
 func (d *Director) Checkpoint() (uint64, error) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	if d.dur == nil {
-		return 0, nil
-	}
-	if d.dur.closed {
-		return 0, ErrDirectorClosed
-	}
-	return d.checkpointLocked()
+	return d.journal.Checkpoint()
 }
 
 // Close checkpoints a durable director and releases its log. Further
@@ -288,41 +174,7 @@ func (d *Director) Checkpoint() (uint64, error) {
 func (d *Director) Close() error {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	if d.dur == nil || d.dur.closed {
-		return nil
-	}
-	_, err := d.checkpointLocked()
-	d.dur.closed = true
-	if cerr := d.dur.w.Close(); err == nil {
-		err = cerr
-	}
-	return err
-}
-
-// startDurable establishes the baseline snapshot and opens the log for a
-// freshly built director — snapshot first, so there is no window where a
-// log exists without a snapshot under it (a crash between the two leaves
-// either nothing or a snapshot-only directory, both recoverable).
-func (d *Director) startDurable() error {
-	d.dur = &dirDurable{
-		dir:            d.cfg.DataDir,
-		snapEvery:      d.cfg.SnapshotEvery,
-		lastFullSolves: d.planner().Stats().FullSolves,
-	}
-	d.dur.attachTelemetry(d.cfg.Telemetry)
-	base, err := d.snapshotPayloadLocked(0)
-	if err != nil {
-		return err
-	}
-	if err := wal.WriteSnapshot(d.cfg.DataDir, 0, base, d.dirHook()); err != nil {
-		return err
-	}
-	w, err := wal.Open(d.cfg.DataDir, 0, wal.Options{CrashHook: d.dirHook(), Telemetry: d.cfg.Telemetry})
-	if err != nil {
-		return err
-	}
-	d.dur.w = w
-	return nil
+	return d.journal.Close()
 }
 
 // recoverDirector rebuilds a director from the newest readable snapshot
@@ -336,39 +188,15 @@ func (d *Director) startDurable() error {
 // same matrix; server and client nodes are bounds-checked against it).
 func recoverDirector(cfg Config) (*Director, error) {
 	dir := cfg.DataDir
-	lsns, err := wal.SnapshotLSNs(dir)
+	d := &Director{cfg: cfg, log: cfg.logger()}
+	var snap directorSnapshot
+	journal, err := repair.RecoverJournal(d.journalConfig(), func(raw []byte) (int, uint64, error) {
+		snap = directorSnapshot{}
+		err := json.Unmarshal(raw, &snap)
+		return snap.Version, snap.LSN, err
+	})
 	if err != nil {
 		return nil, err
-	}
-	if len(lsns) == 0 {
-		return nil, fmt.Errorf("director: %s holds log segments but no snapshot", dir)
-	}
-	var snap directorSnapshot
-	var lastErr error
-	found := false
-	for x := len(lsns) - 1; x >= 0 && !found; x-- {
-		raw, err := wal.ReadSnapshot(dir, lsns[x])
-		if err != nil {
-			lastErr = err
-			continue
-		}
-		var cand directorSnapshot
-		if err := json.Unmarshal(raw, &cand); err != nil {
-			lastErr = fmt.Errorf("snapshot %d: %w", lsns[x], err)
-			continue
-		}
-		if cand.Version < 1 || cand.Version > dirSnapshotVersion {
-			lastErr = fmt.Errorf("snapshot %d has version %d, this build reads 1..%d", lsns[x], cand.Version, dirSnapshotVersion)
-			continue
-		}
-		if cand.LSN != lsns[x] {
-			lastErr = fmt.Errorf("snapshot %d declares LSN %d", lsns[x], cand.LSN)
-			continue
-		}
-		snap, found = cand, true
-	}
-	if !found {
-		return nil, fmt.Errorf("director: no usable snapshot in %s: %w", dir, lastErr)
 	}
 	if snap.Algorithm != cfg.Algorithm {
 		return nil, fmt.Errorf("director: stored state in %s uses algorithm %q, not %q", dir, snap.Algorithm, cfg.Algorithm)
@@ -427,18 +255,15 @@ func recoverDirector(cfg Config) (*Director, error) {
 	if got, want := len(snap.Clients), snap.Problem.NumClients(); got != want {
 		return nil, fmt.Errorf("director: snapshot lists %d clients for a %d-client problem", got, want)
 	}
-	d := &Director{
-		cfg:     cfg,
-		algo:    algo,
-		clients: make(map[string]*clientRec, len(snap.Clients)),
-		rng:     xrand.New(cfg.Seed),
-		zonePop: make([]int, cfg.Zones),
-		csBuf:   make([]float64, len(cfg.ServerNodes)),
-		seq:     snap.Seq,
-		log:     cfg.logger(),
-		tele:    cfg.Telemetry,
-		trace:   cfg.Trace,
-	}
+	d.cfg = cfg
+	d.algo = algo
+	d.clients = make(map[string]*clientRec, len(snap.Clients))
+	d.rng = xrand.New(cfg.Seed)
+	d.zonePop = make([]int, cfg.Zones)
+	d.csBuf = make([]float64, len(cfg.ServerNodes))
+	d.seq = snap.Seq
+	d.tele = cfg.Telemetry
+	d.trace = cfg.Trace
 	ids := make([]string, len(snap.Clients))
 	for j, cl := range snap.Clients {
 		if _, dup := d.clients[cl.ID]; dup {
@@ -467,55 +292,22 @@ func recoverDirector(cfg Config) (*Director, error) {
 	if err != nil {
 		return nil, err
 	}
-	d.dur = &dirDurable{
-		dir:            dir,
-		snapEvery:      cfg.SnapshotEvery,
-		replaying:      true,
-		lastFullSolves: pl.Stats().FullSolves,
-	}
-	d.dur.attachTelemetry(cfg.Telemetry)
+	d.journal = journal
 	d.recovering.Store(true)
 	defer d.recovering.Store(false)
-	recStart := time.Now()
-	replayed := 0
-	if _, err := wal.Replay(dir, snap.LSN, func(lsn uint64, payload []byte) error {
-		e, err := repair.DecodeEvent(payload)
-		if err != nil {
-			return fmt.Errorf("director: LSN %d: %w", lsn, err)
-		}
-		if e.Op != repair.OpEpoch {
-			replayed++
-		}
-		if err := d.applyEvent(e); err != nil {
-			return fmt.Errorf("director: replaying LSN %d: %w", lsn, err)
-		}
-		return nil
-	}); err != nil {
-		return nil, err
-	}
-	w, err := wal.Open(dir, snap.LSN, wal.Options{CrashHook: d.dirHook(), Telemetry: cfg.Telemetry})
+	replayed, took, err := journal.Replay(d.applyEvent)
 	if err != nil {
 		return nil, err
 	}
-	d.dur.w = w
-	d.dur.replaying = false
-	d.dur.sinceSnap = replayed
-	recDur := time.Since(recStart)
 	// Live-traffic telemetry attaches only now, with the tail replayed:
-	// the repair series reflect post-recovery events, and the one-shot
-	// gauges record what the replay itself cost.
+	// the repair series reflect post-recovery events (the journal has
+	// recorded what the replay itself cost).
 	if cfg.Telemetry != nil {
 		pl.SetTelemetry(cfg.Telemetry)
-		cfg.Telemetry.Gauge("dvecap_recovery_duration_seconds",
-			"Wall time of the last crash recovery (snapshot load excluded, log replay included).").
-			Set(recDur.Seconds())
-		cfg.Telemetry.Gauge("dvecap_recovery_events_replayed",
-			"Log-tail events the last crash recovery replayed.").
-			Set(float64(replayed))
 	}
 	d.log.Info("recovered from journal",
 		"dir", dir, "snapshot_lsn", snap.LSN, "events_replayed", replayed,
-		"clients", d.binding.Len(), "replay", recDur)
+		"clients", d.binding.Len(), "replay", took)
 	return d, nil
 }
 
@@ -523,8 +315,8 @@ func recoverDirector(cfg Config) (*Director, error) {
 // journaled from (the methods take the lock themselves; replay runs
 // before the director is shared). Apply-level rejections are swallowed —
 // the live path journals before applying, so a rejected event is in the
-// log too and rejects again here, deterministically. Only structural
-// problems (unknown op, epoch divergence) abort recovery.
+// log too and rejects again here, deterministically. Only an unknown op
+// aborts recovery (the journal checks epoch markers).
 func (d *Director) applyEvent(e *repair.Event) error {
 	switch e.Op {
 	case repair.OpDJoin:
@@ -565,10 +357,6 @@ func (d *Director) applyEvent(e *repair.Event) error {
 		_, _ = d.AddAdjacencyWeight(e.ZoneIdx, e.ZoneIdx2, e.Weight)
 	case repair.OpResolve:
 		_, _ = d.Reassign()
-	case repair.OpEpoch:
-		if fs := d.planner().Stats().FullSolves; fs != e.FullSolves {
-			return fmt.Errorf("replay diverged: %d full solves at epoch marker expecting %d", fs, e.FullSolves)
-		}
 	default:
 		return fmt.Errorf("unknown journal op %q", e.Op)
 	}

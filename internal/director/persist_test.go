@@ -17,6 +17,7 @@ import (
 
 	"dvecap/internal/topology"
 	"dvecap/internal/xrand"
+	"dvecap/telemetry"
 )
 
 func durDelays(t *testing.T) *topology.DelayMatrix {
@@ -276,12 +277,12 @@ func TestDirectorTornTailRecovery(t *testing.T) {
 	}
 	dc := newDirChurn(churnSeed)
 	dc.run(t, d, killAt)
-	d.dur.hook = func(point string) error {
+	d.journal.SetCrashHook(func(point string) error {
 		if point == "append:torn" {
 			return errors.New("power cut mid-write")
 		}
 		return nil
-	}
+	})
 	if _, err := d.Join("victim", 7, 2); err == nil {
 		t.Fatal("join survived a torn journal append")
 	}
@@ -292,6 +293,142 @@ func TestDirectorTornTailRecovery(t *testing.T) {
 	}
 	if got, want := dirStateJSON(t, recovered), dirStateJSON(t, control); got != want {
 		t.Fatal("recovered state diverges from control at the kill point")
+	}
+	cc.run(t, control, 15)
+	dc.run(t, recovered, 15)
+	if got, want := dirStateJSON(t, recovered), dirStateJSON(t, control); got != want {
+		t.Fatal("post-recovery trajectory diverges from control")
+	}
+}
+
+// TestDirectorFailContinueCrashRecover: a journal append fails half-way
+// and the director carries on serving. The journal is fail-stop: every
+// later mutation is refused with ErrJournalFailed — 503 over HTTP, never
+// 400 — /v1/readyz turns 503, the dvecap_wal_failed gauge reads 1, and the
+// director stays exactly at the acknowledged prefix. A crash then
+// recovers exactly that prefix, ready again, and the recovered director
+// tracks an uninterrupted control.
+func TestDirectorFailContinueCrashRecover(t *testing.T) {
+	dm := durDelays(t)
+	const churnSeed, failAt = 733, 30
+
+	control, err := New(durDirConfig(dm, 1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	cc := newDirChurn(churnSeed)
+	cc.run(t, control, failAt)
+
+	cfg := durDirConfig(dm, 1)
+	cfg.DataDir = t.TempDir()
+	cfg.SnapshotEvery = 7
+	cfg.Telemetry = telemetry.NewRegistry()
+	d, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dc := newDirChurn(churnSeed)
+	dc.run(t, d, failAt)
+	srv := httptest.NewServer(Handler(d))
+	defer srv.Close()
+	status := func(method, path, body string) int {
+		t.Helper()
+		req, err := http.NewRequest(method, srv.URL+path, strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		return resp.StatusCode
+	}
+	walFailed := func() float64 {
+		t.Helper()
+		resp, err := http.Get(srv.URL + "/metrics")
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		pm, err := telemetry.ParsePrometheus(resp.Body)
+		if err != nil {
+			t.Fatal(err)
+		}
+		g, err := pm.Sample("dvecap_wal_failed", nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return g.Value
+	}
+	if got := status(http.MethodGet, "/v1/readyz", ""); got != http.StatusOK {
+		t.Fatalf("readyz before the failure: %d, want 200", got)
+	}
+	if got := walFailed(); got != 0 {
+		t.Fatalf("dvecap_wal_failed = %v before the failure", got)
+	}
+
+	armed := true
+	d.journal.SetCrashHook(func(point string) error {
+		if armed && point == "append:torn" {
+			armed = false
+			return errors.New("disk gone")
+		}
+		return nil
+	})
+	if got := status(http.MethodPost, "/v1/clients", `{"id":"victim","node":7,"zone":2}`); got != http.StatusServiceUnavailable {
+		t.Fatalf("join whose append failed: HTTP %d, want 503", got)
+	}
+	// Continue: the hook no longer fires, yet every write is refused.
+	live := dc.live[0]
+	for _, w := range []struct{ method, path, body string }{
+		{http.MethodPost, "/v1/clients", `{"node":3,"zone":1}`},
+		{http.MethodPost, "/v1/clients/" + live + "/move", `{"zone":4}`},
+		{http.MethodDelete, "/v1/clients/" + live, ""},
+		{http.MethodPost, "/v1/servers", `{"node":5,"capacity_mbps":40}`},
+		{http.MethodPost, "/v1/zones", ""},
+		{http.MethodPost, "/v1/adjacency/add", `{"zone1":0,"zone2":1,"delta_mbps":1}`},
+		{http.MethodPost, "/v1/reassign", ""},
+		{http.MethodPost, "/v1/checkpoint", ""},
+	} {
+		if got := status(w.method, w.path, w.body); got != http.StatusServiceUnavailable {
+			t.Fatalf("%s %s after the failure: HTTP %d, want 503", w.method, w.path, got)
+		}
+	}
+	if _, err := d.Move(live, 4); !errors.Is(err, ErrJournalFailed) {
+		t.Fatalf("Move after the failure returned %v, want ErrJournalFailed", err)
+	}
+	if got := status(http.MethodGet, "/v1/readyz", ""); got != http.StatusServiceUnavailable {
+		t.Fatalf("readyz after the failure: %d, want 503", got)
+	}
+	if got := status(http.MethodGet, "/v1/healthz", ""); got != http.StatusOK {
+		t.Fatalf("healthz after the failure: %d, want 200", got)
+	}
+	if got := walFailed(); got != 1 {
+		t.Fatalf("dvecap_wal_failed = %v after the failure, want 1", got)
+	}
+	if got, want := dirStateJSON(t, d), dirStateJSON(t, control); got != want {
+		t.Fatal("refused writes changed the failed director's state")
+	}
+
+	// Crash and recover: exactly the acknowledged prefix, ready again.
+	cfg.Telemetry = telemetry.NewRegistry()
+	recovered, err := New(cfg)
+	if err != nil {
+		t.Fatalf("recover: %v", err)
+	}
+	if got, want := dirStateJSON(t, recovered), dirStateJSON(t, control); got != want {
+		t.Fatal("recovered state diverges from the acknowledged prefix")
+	}
+	srv2 := httptest.NewServer(Handler(recovered))
+	defer srv2.Close()
+	resp, err := http.Get(srv2.URL + "/v1/readyz")
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("readyz after recovery: %d, want 200", resp.StatusCode)
 	}
 	cc.run(t, control, 15)
 	dc.run(t, recovered, 15)

@@ -44,14 +44,16 @@ type apiError struct {
 //	POST   /v1/checkpoint           → CheckpointResult (snapshot + log truncation)
 //	GET    /v1/stats                → Stats
 //	GET    /v1/healthz              → 200 "ok" (pure liveness: the process serves)
-//	GET    /v1/readyz               → 200 "ok" once serving; 503 while replaying
+//	GET    /v1/readyz               → 200 "ok" once serving; 503 while replaying or once the journal failed
 //	GET    /metrics                 → Prometheus text format (404 without Config.Telemetry)
 //
 // Status codes follow the usual discipline: 404 for unknown clients,
 // servers and zones (errors.Is on the sentinels) and unknown routes, 405
 // for a known route with the wrong method, 400 for malformed or invalid
-// request bodies, and 409 for topology conflicts — removing a non-empty
-// server or zone, draining or removing the last available server. While
+// request bodies, 409 for topology conflicts — removing a non-empty
+// server or zone, draining or removing the last available server — and
+// 503 for every write once a durable director's journal has failed
+// (ErrJournalFailed; /v1/readyz turns 503 too) or it is closed. While
 // a durable director is still replaying its journal, everything but
 // /v1/healthz, /v1/readyz and /metrics answers 503 with a Retry-After
 // header; point load balancers at /v1/readyz and restart policies at
@@ -69,10 +71,16 @@ func Handler(d *Director) http.Handler {
 	mux.HandleFunc("/v1/readyz", func(w http.ResponseWriter, r *http.Request) {
 		// Readiness, as distinct from /v1/healthz's liveness: a recovering
 		// director is alive (don't restart it — that restarts the replay)
-		// but not ready (don't route traffic to it yet).
+		// but not ready (don't route traffic to it yet). A director whose
+		// journal has failed is not ready either, for good: it refuses
+		// every write until a restart recovers the acknowledged prefix.
 		if d.Recovering() {
 			w.Header().Set("Retry-After", "1")
 			writeErr(w, http.StatusServiceUnavailable, "recovering: replaying journal")
+			return
+		}
+		if d.journal.Failed() {
+			writeErr(w, http.StatusServiceUnavailable, "journal failed: restart to recover")
 			return
 		}
 		w.WriteHeader(http.StatusOK)
@@ -112,7 +120,7 @@ func Handler(d *Director) http.Handler {
 		}
 		lsn, err := d.Checkpoint()
 		if err != nil {
-			writeErr(w, http.StatusInternalServerError, err.Error())
+			writeOpErr(w, http.StatusInternalServerError, err)
 			return
 		}
 		writeJSON(w, http.StatusOK, CheckpointResult{LSN: lsn, Durable: d.Durable()})
@@ -124,7 +132,7 @@ func Handler(d *Director) http.Handler {
 		}
 		res, err := d.Reassign()
 		if err != nil {
-			writeErr(w, http.StatusInternalServerError, err.Error())
+			writeOpErr(w, http.StatusInternalServerError, err)
 			return
 		}
 		writeJSON(w, http.StatusOK, res)
@@ -143,7 +151,7 @@ func Handler(d *Director) http.Handler {
 			}
 			info, err := d.Join(req.ID, req.Node, req.Zone)
 			if err != nil {
-				writeErr(w, http.StatusBadRequest, err.Error())
+				writeOpErr(w, http.StatusBadRequest, err)
 				return
 			}
 			writeJSON(w, http.StatusCreated, info)
@@ -175,7 +183,7 @@ func Handler(d *Director) http.Handler {
 			}
 			info, err := add(req.Node, req.CapacityMbps)
 			if err != nil {
-				writeErr(w, http.StatusBadRequest, err.Error())
+				writeOpErr(w, http.StatusBadRequest, err)
 				return
 			}
 			writeJSON(w, http.StatusCreated, info)
@@ -198,7 +206,7 @@ func Handler(d *Director) http.Handler {
 				return
 			}
 			if err := d.RemoveServer(i); err != nil {
-				writeTopoErr(w, err)
+				writeOpErr(w, http.StatusBadRequest, err)
 				return
 			}
 			w.WriteHeader(http.StatusNoContent)
@@ -209,7 +217,7 @@ func Handler(d *Director) http.Handler {
 			}
 			info, err := d.DrainServer(i)
 			if err != nil {
-				writeTopoErr(w, err)
+				writeOpErr(w, http.StatusBadRequest, err)
 				return
 			}
 			writeJSON(w, http.StatusOK, info)
@@ -220,7 +228,7 @@ func Handler(d *Director) http.Handler {
 			}
 			info, err := d.UncordonServer(i)
 			if err != nil {
-				writeTopoErr(w, err)
+				writeOpErr(w, http.StatusBadRequest, err)
 				return
 			}
 			writeJSON(w, http.StatusOK, info)
@@ -270,7 +278,7 @@ func Handler(d *Director) http.Handler {
 			// run loop, for operators mid-incident and end-to-end tests.
 			dec, err := rec.Tick()
 			if err != nil {
-				writeErr(w, http.StatusInternalServerError, err.Error())
+				writeOpErr(w, http.StatusInternalServerError, err)
 				return
 			}
 			writeJSON(w, http.StatusOK, dec)
@@ -285,7 +293,7 @@ func Handler(d *Director) http.Handler {
 		case http.MethodPost:
 			info, err := d.AddZone()
 			if err != nil {
-				writeTopoErr(w, err)
+				writeOpErr(w, http.StatusBadRequest, err)
 				return
 			}
 			writeJSON(w, http.StatusCreated, info)
@@ -304,7 +312,7 @@ func Handler(d *Director) http.Handler {
 			return
 		}
 		if err := d.RetireZone(z); err != nil {
-			writeTopoErr(w, err)
+			writeOpErr(w, http.StatusBadRequest, err)
 			return
 		}
 		w.WriteHeader(http.StatusNoContent)
@@ -325,7 +333,7 @@ func Handler(d *Director) http.Handler {
 			}
 			info, err := d.SetAdjacency(req.Zone1, req.Zone2, req.WeightMbps)
 			if err != nil {
-				writeTopoErr(w, err)
+				writeOpErr(w, http.StatusBadRequest, err)
 				return
 			}
 			writeJSON(w, http.StatusOK, info)
@@ -349,7 +357,7 @@ func Handler(d *Director) http.Handler {
 		}
 		info, err := d.AddAdjacencyWeight(req.Zone1, req.Zone2, req.DeltaMbps)
 		if err != nil {
-			writeTopoErr(w, err)
+			writeOpErr(w, http.StatusBadRequest, err)
 			return
 		}
 		writeJSON(w, http.StatusOK, info)
@@ -368,13 +376,13 @@ func Handler(d *Director) http.Handler {
 			case http.MethodGet:
 				info, err := d.Lookup(id)
 				if err != nil {
-					writeClientErr(w, err)
+					writeOpErr(w, http.StatusBadRequest, err)
 					return
 				}
 				writeJSON(w, http.StatusOK, info)
 			case http.MethodDelete:
 				if err := d.Leave(id); err != nil {
-					writeClientErr(w, err)
+					writeOpErr(w, http.StatusBadRequest, err)
 					return
 				}
 				w.WriteHeader(http.StatusNoContent)
@@ -395,7 +403,7 @@ func Handler(d *Director) http.Handler {
 			}
 			info, err := d.Move(id, req.Zone)
 			if err != nil {
-				writeClientErr(w, err)
+				writeOpErr(w, http.StatusBadRequest, err)
 				return
 			}
 			writeJSON(w, http.StatusOK, info)
@@ -413,7 +421,7 @@ func Handler(d *Director) http.Handler {
 			}
 			info, err := d.UpdateDelays(id, req.RTTsMs)
 			if err != nil {
-				writeClientErr(w, err)
+				writeOpErr(w, http.StatusBadRequest, err)
 				return
 			}
 			writeJSON(w, http.StatusOK, info)
@@ -458,25 +466,18 @@ func writeErr(w http.ResponseWriter, status int, msg string) {
 	writeJSON(w, status, apiError{Error: msg})
 }
 
-// writeClientErr maps a client-keyed operation's error onto a status:
-// 404 when the client is unknown (errors.Is, not message sniffing),
-// 400 for everything else (invalid zone, malformed delay row, …).
-func writeClientErr(w http.ResponseWriter, err error) {
-	status := http.StatusBadRequest
-	if errors.Is(err, ErrUnknownClient) {
-		status = http.StatusNotFound
-	}
-	writeErr(w, status, err.Error())
-}
-
-// writeTopoErr maps a topology operation's error onto a status — all by
-// sentinel, never by message: 404 for unknown servers/zones, 409 for
-// conflicts (non-empty server or zone, last available server, last
-// zone), 400 for the rest.
-func writeTopoErr(w http.ResponseWriter, err error) {
-	status := http.StatusBadRequest
+// writeOpErr maps an operation's error onto a status — all by sentinel,
+// never by message: 503 when the director cannot take writes at all (its
+// journal has failed, or it is closed), 404 for unknown clients, servers
+// and zones, 409 for conflicts (non-empty server or zone, last available
+// server, last zone), and fallback for the rest (400 for invalid requests,
+// 500 where the request itself cannot be at fault).
+func writeOpErr(w http.ResponseWriter, fallback int, err error) {
+	status := fallback
 	switch {
-	case errors.Is(err, ErrUnknownServer) || errors.Is(err, ErrUnknownZone):
+	case errors.Is(err, ErrJournalFailed) || errors.Is(err, ErrDirectorClosed):
+		status = http.StatusServiceUnavailable
+	case errors.Is(err, ErrUnknownClient) || errors.Is(err, ErrUnknownServer) || errors.Is(err, ErrUnknownZone):
 		status = http.StatusNotFound
 	case errors.Is(err, ErrServerNotEmpty) || errors.Is(err, ErrZoneNotEmpty) ||
 		errors.Is(err, ErrLastServer) || errors.Is(err, ErrLastZone):

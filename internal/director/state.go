@@ -186,7 +186,7 @@ type Director struct {
 	csBuf   []float64
 	rng     *xrand.RNG
 	seq     uint64
-	dur     *dirDurable // write-ahead journal state; nil when not durable
+	journal *repair.Journal // write-ahead journal; nil when not durable
 	// autoRec is the autoscaling reconciler (EnableAutoscale); nil until
 	// enabled. It owns its own lock — only the pointer is guarded by mu.
 	autoRec *autoscale.Reconciler
@@ -272,7 +272,7 @@ func New(cfg Config) (*Director, error) {
 		pl.SetTelemetry(cfg.Telemetry)
 	}
 	if cfg.DataDir != "" {
-		if err := d.startDurable(); err != nil {
+		if d.journal, err = repair.CreateJournal(d.journalConfig()); err != nil {
 			return nil, err
 		}
 	}
@@ -354,7 +354,7 @@ func (d *Director) Join(id string, node, zone int) (ClientInfo, error) {
 	}
 	// Journal with the MATERIALIZED id plus the auto flag, so replay
 	// re-advances the ID sequence exactly as the live path did.
-	if err := d.journalLocked(&repair.Event{Op: repair.OpDJoin, ID: id, Node: node, ZoneIdx: zone, Auto: auto}); err != nil {
+	if err := d.journal.Record(&repair.Event{Op: repair.OpDJoin, ID: id, Node: node, ZoneIdx: zone, Auto: auto}); err != nil {
 		if auto {
 			d.seq--
 		}
@@ -376,7 +376,7 @@ func (d *Director) Join(id string, node, zone int) (ClientInfo, error) {
 	}
 	rec := &clientRec{node: node, zone: zone}
 	d.clients[id] = rec
-	if err := d.afterApplyLocked(); err != nil {
+	if err := d.journal.Applied(); err != nil {
 		return ClientInfo{}, err
 	}
 	return d.infoLocked(id, rec), nil
@@ -390,7 +390,7 @@ func (d *Director) Leave(id string) error {
 	if !ok {
 		return fmt.Errorf("director: %w %q", ErrUnknownClient, id)
 	}
-	if err := d.journalLocked(&repair.Event{Op: repair.OpDLeave, ID: id}); err != nil {
+	if err := d.journal.Record(&repair.Event{Op: repair.OpDLeave, ID: id}); err != nil {
 		return err
 	}
 	// Refresh to the post-departure population before the event (the
@@ -404,7 +404,7 @@ func (d *Director) Leave(id string) error {
 		return err
 	}
 	delete(d.clients, id)
-	return d.afterApplyLocked()
+	return d.journal.Applied()
 }
 
 // Move relocates a client's avatar to another zone and re-attaches it,
@@ -419,7 +419,7 @@ func (d *Director) Move(id string, zone int) (ClientInfo, error) {
 	if zone < 0 || zone >= d.cfg.Zones {
 		return ClientInfo{}, fmt.Errorf("director: zone %d outside [0,%d)", zone, d.cfg.Zones)
 	}
-	if err := d.journalLocked(&repair.Event{Op: repair.OpDMove, ID: id, ZoneIdx: zone}); err != nil {
+	if err := d.journal.Record(&repair.Event{Op: repair.OpDMove, ID: id, ZoneIdx: zone}); err != nil {
 		return ClientInfo{}, err
 	}
 	old := rec.zone
@@ -445,7 +445,7 @@ func (d *Director) Move(id string, zone int) (ClientInfo, error) {
 		return ClientInfo{}, err
 	}
 	rec.zone = zone
-	if err := d.afterApplyLocked(); err != nil {
+	if err := d.journal.Applied(); err != nil {
 		return ClientInfo{}, err
 	}
 	return d.infoLocked(id, rec), nil
@@ -472,13 +472,9 @@ func (d *Director) UpdateDelays(id string, rtts []float64) (ClientInfo, error) {
 			return ClientInfo{}, fmt.Errorf("director: RTT to server %d is %v ms, want >= 0", i, rtt)
 		}
 	}
-	if err := d.journalLocked(&repair.Event{Op: repair.OpDDelays, ID: id, Row: rtts}); err != nil {
-		return ClientInfo{}, err
-	}
-	if err := d.binding.UpdateDelays(id, rtts); err != nil {
-		return ClientInfo{}, err
-	}
-	if err := d.afterApplyLocked(); err != nil {
+	if err := d.journal.Apply(&repair.Event{Op: repair.OpDDelays, ID: id, Row: rtts}, func() error {
+		return d.binding.UpdateDelays(id, rtts)
+	}); err != nil {
 		return ClientInfo{}, err
 	}
 	return d.infoLocked(id, rec), nil
@@ -716,7 +712,7 @@ func (d *Director) Reassign() (ReassignResult, error) {
 		// (e.g. a timer firing on an idle service) don't grow the log.
 		return ReassignResult{Stats: d.statsLocked()}, nil
 	}
-	if err := d.journalLocked(&repair.Event{Op: repair.OpResolve}); err != nil {
+	if err := d.journal.Record(&repair.Event{Op: repair.OpResolve}); err != nil {
 		return ReassignResult{}, err
 	}
 	before := make([]int, len(order))
@@ -732,7 +728,7 @@ func (d *Director) Reassign() (ReassignResult, error) {
 			moved++
 		}
 	}
-	if err := d.afterApplyLocked(); err != nil {
+	if err := d.journal.Applied(); err != nil {
 		return ReassignResult{}, err
 	}
 	return ReassignResult{Stats: d.statsLocked(), Moved: moved}, nil

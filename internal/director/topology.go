@@ -123,7 +123,7 @@ func (d *Director) addServer(node int, capacityMbps float64, spare bool) (Server
 	}
 	// Only the node, capacity and spare flag are journaled: the delay rows
 	// are oracle-derived, and replay re-derives them identically.
-	if err := d.journalLocked(&repair.Event{Op: repair.OpDAddServer, Node: node, Capacity: capacityMbps, Spare: spare}); err != nil {
+	if err := d.journal.Record(&repair.Event{Op: repair.OpDAddServer, Node: node, Capacity: capacityMbps, Spare: spare}); err != nil {
 		return ServerInfo{}, err
 	}
 	m := len(d.cfg.ServerNodes)
@@ -151,7 +151,7 @@ func (d *Director) addServer(node int, capacityMbps float64, spare bool) (Server
 	d.cfg.ServerNodes = append(d.cfg.ServerNodes, node)
 	d.cfg.ServerCaps = append(d.cfg.ServerCaps, capacityMbps)
 	d.csBuf = append(d.csBuf, 0)
-	if err := d.afterApplyLocked(); err != nil {
+	if err := d.journal.Applied(); err != nil {
 		return ServerInfo{}, err
 	}
 	return d.serversLocked()[i], nil
@@ -163,7 +163,7 @@ func (d *Director) addServer(node int, capacityMbps float64, spare bool) (Server
 func (d *Director) RemoveServer(i int) error {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	if err := d.journalLocked(&repair.Event{Op: repair.OpDRemoveServer, ServerIdx: i}); err != nil {
+	if err := d.journal.Record(&repair.Event{Op: repair.OpDRemoveServer, ServerIdx: i}); err != nil {
 		return err
 	}
 	moved, err := d.planner().RemoveServer(i)
@@ -178,7 +178,7 @@ func (d *Director) RemoveServer(i int) error {
 	d.cfg.ServerNodes = d.cfg.ServerNodes[:last]
 	d.cfg.ServerCaps = d.cfg.ServerCaps[:last]
 	d.csBuf = d.csBuf[:last]
-	return d.afterApplyLocked()
+	return d.journal.Applied()
 }
 
 // DrainServer evacuates server i for a rolling deploy: its capacity
@@ -189,13 +189,9 @@ func (d *Director) RemoveServer(i int) error {
 func (d *Director) DrainServer(i int) (ServerInfo, error) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	if err := d.journalLocked(&repair.Event{Op: repair.OpDDrain, ServerIdx: i}); err != nil {
-		return ServerInfo{}, err
-	}
-	if err := d.planner().DrainServer(i); err != nil {
-		return ServerInfo{}, err
-	}
-	if err := d.afterApplyLocked(); err != nil {
+	if err := d.journal.Apply(&repair.Event{Op: repair.OpDDrain, ServerIdx: i}, func() error {
+		return d.planner().DrainServer(i)
+	}); err != nil {
 		return ServerInfo{}, err
 	}
 	return d.serversLocked()[i], nil
@@ -206,13 +202,9 @@ func (d *Director) DrainServer(i int) (ServerInfo, error) {
 func (d *Director) UncordonServer(i int) (ServerInfo, error) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	if err := d.journalLocked(&repair.Event{Op: repair.OpDUncordon, ServerIdx: i}); err != nil {
-		return ServerInfo{}, err
-	}
-	if err := d.planner().UncordonServer(i); err != nil {
-		return ServerInfo{}, err
-	}
-	if err := d.afterApplyLocked(); err != nil {
+	if err := d.journal.Apply(&repair.Event{Op: repair.OpDUncordon, ServerIdx: i}, func() error {
+		return d.planner().UncordonServer(i)
+	}); err != nil {
 		return ServerInfo{}, err
 	}
 	return d.serversLocked()[i], nil
@@ -223,7 +215,7 @@ func (d *Director) UncordonServer(i int) (ServerInfo, error) {
 func (d *Director) AddZone() (ZoneInfo, error) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	if err := d.journalLocked(&repair.Event{Op: repair.OpDAddZone}); err != nil {
+	if err := d.journal.Record(&repair.Event{Op: repair.OpDAddZone}); err != nil {
 		return ZoneInfo{}, err
 	}
 	z, err := d.planner().AddZone(-1)
@@ -232,7 +224,7 @@ func (d *Director) AddZone() (ZoneInfo, error) {
 	}
 	d.cfg.Zones++
 	d.zonePop = append(d.zonePop, 0)
-	if err := d.afterApplyLocked(); err != nil {
+	if err := d.journal.Applied(); err != nil {
 		return ZoneInfo{}, err
 	}
 	return ZoneInfo{Zone: z, Server: d.planner().ZoneHost(z), Clients: 0}, nil
@@ -245,7 +237,7 @@ func (d *Director) AddZone() (ZoneInfo, error) {
 func (d *Director) RetireZone(z int) error {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	if err := d.journalLocked(&repair.Event{Op: repair.OpDRetireZone, ZoneIdx: z}); err != nil {
+	if err := d.journal.Record(&repair.Event{Op: repair.OpDRetireZone, ZoneIdx: z}); err != nil {
 		return err
 	}
 	moved, err := d.planner().RetireZone(z)
@@ -263,7 +255,7 @@ func (d *Director) RetireZone(z int) error {
 	}
 	d.zonePop = d.zonePop[:last]
 	d.cfg.Zones = last
-	return d.afterApplyLocked()
+	return d.journal.Applied()
 }
 
 // denseIndexLocked resolves a registered client ID to the planner's

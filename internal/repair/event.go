@@ -7,7 +7,7 @@ import (
 
 // EventOp tags the canonical wire form of one session event. The durable
 // layers (dvecap.ClusterSession, internal/director) journal these to the
-// WAL before applying them, and recovery replays the decoded events
+// WAL through one Journal (journal.go) before applying them, and recovery replays the decoded events
 // through the exact same mutators live traffic uses — one encoding, one
 // code path, so replay cannot diverge from what the log captured
 // (DESIGN.md §11). The encoding lives next to the planner because the

@@ -12,6 +12,10 @@
 // snapshot that parses and replays only the log records after it — O(tail)
 // work, independent of session lifetime.
 //
+// A Writer is fail-stop (ErrFailed): after a failed write, fsync or
+// rotation, a record appended behind the possibly torn frame would be
+// lost to recovery, so the Writer refuses all further appends.
+//
 // Torn final records are expected, not fatal: a crash mid-append leaves a
 // half-written frame at the tail of the last segment, which Open truncates
 // away. Any framing damage before the final record of the final segment is
@@ -55,6 +59,10 @@ const (
 // Recovery must fail rather than resume from a silently shortened history.
 var ErrCorrupt = errors.New("wal: corrupt log")
 
+// ErrFailed reports a Writer that refuses appends because an earlier
+// write, fsync or rotation failed; only reopening the log gets past it.
+var ErrFailed = errors.New("wal: log failed")
+
 var crcTable = crc32.MakeTable(crc32.Castagnoli)
 
 // Options configures a Writer.
@@ -69,8 +77,8 @@ type Options struct {
 	// ("append:start", "append:torn", "append:unsynced"). Returning an
 	// error simulates a crash at that point: the operation stops exactly
 	// there (the "torn" point first writes half a frame, like a real
-	// mid-write power cut) and the error propagates. Fault-injection
-	// harness only.
+	// mid-write power cut), the error propagates and the writer fails.
+	// Fault-injection harness only.
 	CrashHook func(point string) error
 	// Telemetry, when set, registers the log's metrics there: append and
 	// fsync latency histograms, appended bytes/records, and segment
@@ -85,6 +93,7 @@ type walTele struct {
 	bytes     *telemetry.Counter
 	records   *telemetry.Counter
 	rotations *telemetry.Counter
+	failed    *telemetry.Gauge
 }
 
 func newWALTele(reg *telemetry.Registry) walTele {
@@ -102,6 +111,8 @@ func newWALTele(reg *telemetry.Registry) walTele {
 			"Records appended to the WAL."),
 		rotations: reg.Counter("dvecap_wal_segment_rotations_total",
 			"WAL segment rotations."),
+		failed: reg.Gauge("dvecap_wal_failed",
+			"1 once a WAL write, fsync or rotation has failed and the log refuses appends."),
 	}
 }
 
@@ -113,6 +124,8 @@ type Writer struct {
 	size    int64  // current segment size
 	nextLSN uint64 // LSN the next Append receives
 	closed  bool
+	err     error  // sticky failure, returned by every later Append and Sync
+	buf     []byte // frame buffer, reused across appends
 	tele    walTele
 }
 
@@ -339,6 +352,14 @@ func (w *Writer) rotate() error {
 	return nil
 }
 
+// fail records the writer's first failure and returns it. The error wraps
+// both ErrFailed and the cause, so callers can test for either.
+func (w *Writer) fail(cause error) error {
+	w.err = fmt.Errorf("%w: %w", ErrFailed, cause)
+	w.tele.failed.Set(1)
+	return w.err
+}
+
 // hook consults the crash-injection hook, if any.
 func (w *Writer) hook(point string) error {
 	if w.opt.CrashHook == nil {
@@ -349,27 +370,35 @@ func (w *Writer) hook(point string) error {
 
 // Append writes one record and makes it durable. The returned LSN is
 // assigned only after the record is synced — once Append returns nil, the
-// record survives any crash.
+// record survives any crash. A failure at any step after validation
+// (including an injected append:* fault) fails the writer for good.
 func (w *Writer) Append(payload []byte) (uint64, error) {
 	if w.closed {
 		return 0, fmt.Errorf("wal: writer closed")
+	}
+	if w.err != nil {
+		return 0, w.err
 	}
 	if len(payload) == 0 || len(payload) > MaxRecord {
 		return 0, fmt.Errorf("wal: payload of %d bytes outside (0,%d]", len(payload), MaxRecord)
 	}
 	if w.size >= w.opt.SegmentBytes {
 		if err := w.rotate(); err != nil {
-			return 0, err
+			return 0, w.fail(err)
 		}
 	}
 	if err := w.hook("append:start"); err != nil {
-		return 0, err
+		return 0, w.fail(err)
 	}
 	var start time.Time
 	if w.tele.appendDur != nil {
 		start = time.Now()
 	}
-	frame := make([]byte, frameHeader+len(payload))
+	n := frameHeader + len(payload)
+	if cap(w.buf) < n {
+		w.buf = make([]byte, n)
+	}
+	frame := w.buf[:n]
 	binary.LittleEndian.PutUint32(frame[0:4], uint32(len(payload)))
 	binary.LittleEndian.PutUint32(frame[4:8], crc32.Checksum(payload, crcTable))
 	copy(frame[frameHeader:], payload)
@@ -377,13 +406,13 @@ func (w *Writer) Append(payload []byte) (uint64, error) {
 		// Simulated power cut mid-write: half a frame reaches the file.
 		_, _ = w.f.Write(frame[:len(frame)/2])
 		_ = w.f.Sync()
-		return 0, err
+		return 0, w.fail(err)
 	}
 	if _, err := w.f.Write(frame); err != nil {
-		return 0, err
+		return 0, w.fail(err)
 	}
 	if err := w.hook("append:unsynced"); err != nil {
-		return 0, err
+		return 0, w.fail(err)
 	}
 	if !w.opt.NoSync {
 		var syncStart time.Time
@@ -391,7 +420,10 @@ func (w *Writer) Append(payload []byte) (uint64, error) {
 			syncStart = time.Now()
 		}
 		if err := w.f.Sync(); err != nil {
-			return 0, err
+			// Never retried: after a failed fsync the kernel may have
+			// dropped the dirty pages, so a second fsync can succeed
+			// without the record ever reaching the disk.
+			return 0, w.fail(err)
 		}
 		if w.tele.fsyncDur != nil {
 			w.tele.fsyncDur.Observe(time.Since(syncStart).Seconds())
@@ -411,15 +443,26 @@ func (w *Writer) Append(payload []byte) (uint64, error) {
 // NextLSN returns the LSN the next Append will receive.
 func (w *Writer) NextLSN() uint64 { return w.nextLSN }
 
-// Sync flushes the current segment.
+// Sync flushes the current segment. A failed writer returns its error.
 func (w *Writer) Sync() error {
+	if w.err != nil {
+		return w.err
+	}
 	if w.f == nil {
 		return nil
 	}
-	return w.f.Sync()
+	if err := w.f.Sync(); err != nil {
+		return w.fail(err)
+	}
+	return nil
 }
 
-// Close syncs and closes the active segment. Further Appends fail.
+// Err returns the writer's sticky failure, nil while it is healthy.
+func (w *Writer) Err() error { return w.err }
+
+// Close syncs and closes the active segment. Further Appends fail. A
+// failed writer closes its segment without another fsync and returns its
+// failure.
 func (w *Writer) Close() error {
 	if w.closed {
 		return nil
@@ -427,6 +470,10 @@ func (w *Writer) Close() error {
 	w.closed = true
 	if w.f == nil {
 		return nil
+	}
+	if w.err != nil {
+		w.f.Close()
+		return w.err
 	}
 	if err := w.f.Sync(); err != nil {
 		w.f.Close()

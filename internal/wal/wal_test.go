@@ -9,6 +9,8 @@ import (
 	"os"
 	"path/filepath"
 	"testing"
+
+	"dvecap/telemetry"
 )
 
 // appendAll writes records 1..n with payloads derived from their LSN.
@@ -362,6 +364,94 @@ func TestAppendCrashPoints(t *testing.T) {
 			appendAll(t, w2, 1)
 			w2.Close()
 		})
+	}
+}
+
+// TestFailedAppendIsSticky replays the lost-acknowledgement repro: one
+// append fails half-way (a torn frame stays in the segment) and the caller
+// carries on appending. Every later Append and Sync must be refused with
+// ErrFailed — had any been acknowledged, it would sit behind the torn
+// frame, where Replay (which reads a torn frame as the end of the log)
+// could never deliver it. Replay must deliver exactly the acknowledged
+// prefix, and the failure gauge must read 1.
+func TestFailedAppendIsSticky(t *testing.T) {
+	dir := t.TempDir()
+	reg := telemetry.NewRegistry()
+	crash := errors.New("crash")
+	armed := false
+	w, err := Open(dir, 0, Options{Telemetry: reg, CrashHook: func(p string) error {
+		if armed && p == "append:torn" {
+			armed = false
+			return crash
+		}
+		return nil
+	}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	failed := reg.Gauge("dvecap_wal_failed", "")
+	if failed.Value() != 0 {
+		t.Fatalf("dvecap_wal_failed = %v on a healthy writer", failed.Value())
+	}
+	var acked []uint64
+	lsn, err := w.Append(payloadFor(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	acked = append(acked, lsn)
+	armed = true
+	if _, err := w.Append([]byte("torn")); !errors.Is(err, crash) || !errors.Is(err, ErrFailed) {
+		t.Fatalf("torn append returned %v, want the crash wrapped in ErrFailed", err)
+	}
+	for i := 0; i < 9; i++ {
+		lsn, err := w.Append(payloadFor(uint64(i + 2)))
+		if err == nil {
+			acked = append(acked, lsn)
+			continue
+		}
+		if !errors.Is(err, ErrFailed) {
+			t.Fatalf("append %d after the failure returned %v, want ErrFailed", i+1, err)
+		}
+	}
+	if len(acked) != 1 {
+		t.Fatalf("%d appends acknowledged after the failure, want 0", len(acked)-1)
+	}
+	if err := w.Sync(); !errors.Is(err, ErrFailed) {
+		t.Fatalf("Sync on a failed writer returned %v, want ErrFailed", err)
+	}
+	if failed.Value() != 1 {
+		t.Fatalf("dvecap_wal_failed = %v after the failure, want 1", failed.Value())
+	}
+	if err := w.Close(); !errors.Is(err, ErrFailed) {
+		t.Fatalf("Close on a failed writer returned %v, want ErrFailed", err)
+	}
+	got, last := collect(t, dir, 0)
+	if len(got) != len(acked) || last != acked[len(acked)-1] {
+		t.Fatalf("replay delivered %d records through LSN %d, want the %d acknowledged", len(got), last, len(acked))
+	}
+	for _, lsn := range acked {
+		if got[lsn] != string(payloadFor(lsn)) {
+			t.Fatalf("acknowledged LSN %d replayed as %q", lsn, got[lsn])
+		}
+	}
+}
+
+// TestAppendDoesNotAllocate: the frame is built in a buffer the writer
+// owns, so a steady-state append allocates nothing.
+func TestAppendDoesNotAllocate(t *testing.T) {
+	w, err := Open(t.TempDir(), 0, Options{NoSync: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer w.Close()
+	payload := []byte(`{"op":"move","id":"c000001","zone_idx":3}`)
+	allocs := testing.AllocsPerRun(200, func() {
+		if _, err := w.Append(payload); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("Append allocates %v times per call, want 0", allocs)
 	}
 }
 
